@@ -348,8 +348,8 @@ PublishPoint MeasureDeltaPublish(std::size_t catalog_size,
 
   // Delta publishes: 1% appended onto the resident engine's current
   // generation. Each rep extends the previous one, so every timed publish
-  // interns new values past a frozen dictionary chain exactly as a
-  // steady-state ingest would.
+  // copies the growing delta tail and interns new values past the frozen
+  // root exactly as a steady-state ingest would.
   linking::ServeEngine delta_engine;
   {
     std::vector<core::Item> base(items.begin(),
@@ -365,7 +365,9 @@ PublishPoint MeasureDeltaPublish(std::size_t catalog_size,
         items.begin() + catalog_size + rep * delta_items,
         items.begin() + catalog_size + (rep + 1) * delta_items);
     util::Stopwatch timer;
-    delta_engine.PublishDelta(std::move(delta), blocker);
+    const auto generation =
+        delta_engine.PublishDelta(std::move(delta), blocker);
+    RL_CHECK(generation.ok()) << generation.status();
     const double ms = timer.ElapsedMillis();
     if (rep == 0 || ms < point.delta_ms) point.delta_ms = ms;
   }

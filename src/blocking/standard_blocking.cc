@@ -1,6 +1,8 @@
 #include "blocking/standard_blocking.h"
 
 #include <algorithm>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "util/interner.h"
@@ -79,19 +81,23 @@ class StandardItemIndex : public ItemCandidateIndex {
   void CandidatesOfItem(const core::Item& item, std::string* key_scratch,
                         std::vector<std::size_t>* out) const override {
     AppendBlockingKey(item, property_, prefix_length_, key_scratch);
-    if (key_scratch->empty()) {
-      out->clear();
-      return;
-    }
-    // Find never mutates the interner, so concurrent probes are safe.
-    const util::SymbolId id = keys_.Find(*key_scratch);
+    CandidatesOfKey(*key_scratch, out);
+  }
+  std::size_t num_local() const override { return num_local_; }
+
+  // Replaces `out` with the block of an already-extracted key (empty for
+  // an empty or unknown key). Find never mutates the interner, so
+  // concurrent probes are safe.
+  void CandidatesOfKey(std::string_view key,
+                       std::vector<std::size_t>* out) const {
+    const util::SymbolId id =
+        key.empty() ? util::kInvalidSymbolId : keys_.Find(key);
     if (id == util::kInvalidSymbolId) {
       out->clear();
       return;
     }
     out->assign(blocks_[id].begin(), blocks_[id].end());
   }
-  std::size_t num_local() const override { return num_local_; }
 
   const std::string& property() const { return property_; }
   std::size_t prefix_length() const { return prefix_length_; }
@@ -104,30 +110,28 @@ class StandardItemIndex : public ItemCandidateIndex {
   std::size_t num_local_;
 };
 
-// One delta layer over a shared base index: the base answers first (its
-// indices are all < base->num_local()), then this layer appends its own
-// postings, which carry global indices past the base's — so the combined
-// run is ascending and duplicate-free by construction. Probing re-derives
-// the key per layer (AppendBlockingKey into the caller's scratch), which
-// keeps layers independent of each other's interner numbering.
+// The tail over a full StandardItemIndex: every local appended since that
+// index was built, under its own small key interner, with postings in
+// global indices past the root's. The root answers first (its indices are
+// all < root->num_local()), then the tail appends its own postings — so
+// the combined run is ascending and duplicate-free by construction, and a
+// probe costs two lookups however many deltas the tail has absorbed.
 class DeltaStandardItemIndex : public ItemCandidateIndex {
  public:
-  DeltaStandardItemIndex(std::shared_ptr<const ItemCandidateIndex> base,
-                         std::string property, std::size_t prefix_length,
+  DeltaStandardItemIndex(std::shared_ptr<const StandardItemIndex> root,
                          util::StringInterner keys,
                          std::vector<std::vector<std::size_t>> blocks,
                          std::size_t num_local)
-      : base_(std::move(base)),
-        property_(std::move(property)),
-        prefix_length_(prefix_length),
+      : root_(std::move(root)),
         keys_(std::move(keys)),
         blocks_(std::move(blocks)),
         num_local_(num_local) {}
 
   void CandidatesOfItem(const core::Item& item, std::string* key_scratch,
                         std::vector<std::size_t>* out) const override {
-    base_->CandidatesOfItem(item, key_scratch, out);
-    AppendBlockingKey(item, property_, prefix_length_, key_scratch);
+    AppendBlockingKey(item, root_->property(), root_->prefix_length(),
+                      key_scratch);
+    root_->CandidatesOfKey(*key_scratch, out);
     if (key_scratch->empty()) return;
     const util::SymbolId id = keys_.Find(*key_scratch);
     if (id == util::kInvalidSymbolId) return;
@@ -135,13 +139,16 @@ class DeltaStandardItemIndex : public ItemCandidateIndex {
   }
   std::size_t num_local() const override { return num_local_; }
 
-  const std::string& property() const { return property_; }
-  std::size_t prefix_length() const { return prefix_length_; }
+  const std::shared_ptr<const StandardItemIndex>& root() const {
+    return root_;
+  }
+  const util::StringInterner& keys() const { return keys_; }
+  const std::vector<std::vector<std::size_t>>& blocks() const {
+    return blocks_;
+  }
 
  private:
-  std::shared_ptr<const ItemCandidateIndex> base_;
-  std::string property_;
-  std::size_t prefix_length_;
+  std::shared_ptr<const StandardItemIndex> root_;
   util::StringInterner keys_;
   std::vector<std::vector<std::size_t>> blocks_;  // by key id, global indices
   std::size_t num_local_;
@@ -195,28 +202,29 @@ std::unique_ptr<ItemCandidateIndex> StandardBlocker::BuildItemIndex(
 std::unique_ptr<ItemCandidateIndex> StandardBlocker::ExtendItemIndex(
     std::shared_ptr<const ItemCandidateIndex> base,
     const std::vector<core::Item>& delta) const {
-  if (base == nullptr) return nullptr;
-  // Only an index built with this exact key scheme can be extended: the
-  // delta layer must block on the same (property, prefix) or the combined
-  // index would mix incompatible keys.
-  const std::string* base_property = nullptr;
-  std::size_t base_prefix = 0;
-  if (const auto* flat = dynamic_cast<const StandardItemIndex*>(base.get())) {
-    base_property = &flat->property();
-    base_prefix = flat->prefix_length();
-  } else if (const auto* layered =
-                 dynamic_cast<const DeltaStandardItemIndex*>(base.get())) {
-    base_property = &layered->property();
-    base_prefix = layered->prefix_length();
+  // Extending a tail copies its key interner (ids preserved) and postings
+  // and appends the delta to the copy, so every generation is the full
+  // index plus exactly one tail; extending a full index starts the tail.
+  std::shared_ptr<const StandardItemIndex> root;
+  util::StringInterner keys;
+  std::vector<std::vector<std::size_t>> blocks;  // by key id
+  if (const auto* tail =
+          dynamic_cast<const DeltaStandardItemIndex*>(base.get())) {
+    root = tail->root();
+    keys = tail->keys();
+    blocks = tail->blocks();
   } else {
-    return nullptr;
+    root = std::dynamic_pointer_cast<const StandardItemIndex>(base);
+    if (root == nullptr) return nullptr;
   }
-  if (*base_property != property_ || base_prefix != prefix_length_) {
+  // Only an index built with this exact key scheme can be extended: the
+  // tail must block on the same (property, prefix) or the combined index
+  // would mix incompatible keys.
+  if (root->property() != property_ ||
+      root->prefix_length() != prefix_length_) {
     return nullptr;
   }
   const std::size_t offset = base->num_local();
-  util::StringInterner keys;
-  std::vector<std::vector<std::size_t>> blocks;  // by key id
   for (std::size_t j = 0; j < delta.size(); ++j) {
     const std::string key = BlockingKey(delta[j], property_, prefix_length_);
     if (key.empty()) continue;
@@ -225,8 +233,8 @@ std::unique_ptr<ItemCandidateIndex> StandardBlocker::ExtendItemIndex(
     blocks[id].push_back(offset + j);
   }
   return std::make_unique<DeltaStandardItemIndex>(
-      std::move(base), property_, prefix_length_, std::move(keys),
-      std::move(blocks), offset + delta.size());
+      std::move(root), std::move(keys), std::move(blocks),
+      offset + delta.size());
 }
 
 std::string StandardBlocker::name() const {

@@ -33,11 +33,13 @@ class StandardBlocker : public CandidateGenerator {
   std::unique_ptr<ItemCandidateIndex> BuildItemIndex(
       const std::vector<core::Item>& local) const override;
   // Extends a BuildItemIndex/ExtendItemIndex result of a StandardBlocker
-  // with the same (property, prefix) key scheme: the delta items get their
-  // own small key interner + blocks keyed with global indices past the
-  // base's locals, and probes answer base-then-delta. Chains freely — the
-  // K-th delta publish probes K small delta layers plus the original
-  // inverted index. Returns null for a foreign or key-mismatched base.
+  // with the same (property, prefix) key scheme. The result is always the
+  // full BuildItemIndex result plus one tail: a small key interner +
+  // blocks keyed with global indices past the full index's locals, holding
+  // every item appended since. Extending a tail copies its interner (the
+  // copy keeps every key id) and postings and appends the delta, so the
+  // K-th delta publish still probes two structures, full-then-tail.
+  // Returns null for a foreign or key-mismatched base.
   std::unique_ptr<ItemCandidateIndex> ExtendItemIndex(
       std::shared_ptr<const ItemCandidateIndex> base,
       const std::vector<core::Item>& delta) const override;

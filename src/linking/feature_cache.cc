@@ -1,6 +1,7 @@
 #include "linking/feature_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "util/logging.h"
@@ -20,6 +21,37 @@ FeatureDictionary::FeatureDictionary(const FeatureDictionary* base)
     : base_(base),
       base_offset_(static_cast<ValueId>(base->num_symbols())) {
   RL_CHECK(base != nullptr);
+}
+
+std::uint64_t FeatureDictionary::NextStamp() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+FeatureDictionary FeatureDictionary::Clone() const {
+  FeatureDictionary copy;
+  copy.base_ = base_;
+  copy.base_offset_ = base_offset_;
+  copy.strings_ = strings_;
+  copy.spans_ = spans_;
+  copy.ordered_tokens_ = ordered_tokens_;
+  copy.sorted_tokens_ = sorted_tokens_;
+  copy.sorted_bigrams_ = sorted_bigrams_;
+  copy.num_values_ = num_values_;
+  copy.values_reused_ = values_reused_;
+  copy.clone_of_ = stamp_;
+  copy.clone_symbols_ = num_symbols();
+  copy.clone_values_ = num_values_;
+  return copy;
+}
+
+bool FeatureDictionary::Extends(const FeatureDictionary& other) const {
+  if (this == &other || base_ == &other) return true;
+  // Any growth of `other` after the copy either interned a symbol or
+  // built a value, so matching both counts means the copy still holds
+  // every id `other` has issued, with the same string and features.
+  return clone_of_ == other.stamp_ && clone_symbols_ == other.num_symbols() &&
+         clone_values_ == other.num_values_;
 }
 
 void FeatureDictionary::EnsureSlot(ValueId local) {
@@ -130,9 +162,10 @@ ValueId FeatureDictionary::AddValue(std::string_view value) {
     // symbol that is merely a token/bigram gets a fresh overlay value id
     // instead (no built value anywhere in the chain shares its string, so
     // id equality still implies string equality across the union). The
-    // search must be by built-value, not FindSymbol: with stacked overlays
-    // a string can be an unbuilt token at the root and a built value at a
-    // middle level, and FindSymbol would surface the root token id.
+    // search must be by built-value, not FindSymbol: with an overlay over
+    // an overlay (a session over a delta tail) a string can be an unbuilt
+    // token at the root and a built value in the tail, and FindSymbol
+    // would surface the root token id.
     const ValueId found = base_->FindBuiltValue(value);
     if (found != util::kInvalidSymbolId) {
       ++values_reused_;
@@ -330,10 +363,11 @@ FeatureCache FeatureCache::ExtendFrom(const FeatureCache& base,
   RL_CHECK(dict != nullptr);
   // The new dictionary must extend the base cache's own dictionary (not
   // merely share its root): the copied value ids were issued by
-  // base.dict(), and only a direct overlay (or the same still-growing
-  // root) keeps every one of them resolvable without collisions.
-  RL_CHECK(dict == &base.dict() || dict->base() == &base.dict())
-      << "ExtendFrom needs base.dict() itself or a direct overlay over it";
+  // base.dict(), and a sibling overlay over the same root would reissue
+  // them for other strings.
+  RL_CHECK(dict->Extends(base.dict()))
+      << "ExtendFrom needs base.dict() itself, a direct overlay over it or "
+         "an unoutgrown Clone() of it";
   const obs::MetricsRegistry::StageScope stage(metrics,
                                                "linking/cache_extend");
   if (metrics != nullptr) {

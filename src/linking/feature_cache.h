@@ -73,16 +73,30 @@ class FeatureDictionary {
   // string equality across the union (a locally-interned value exists in
   // the chain at most as an unbuilt token/bigram symbol, which no scorer
   // ever uses as a value id), so every score stays a pure function of the
-  // strings. Overlays stack: the serving engine chains one per delta
-  // publish (DESIGN.md §5j) and hangs each session's private overlay off
-  // the current snapshot's dictionary (§5i). At most one level of a chain
-  // ever holds a given string as a *built value*, so the reuse lookup is
-  // unambiguous.
+  // strings. The serving engine keeps chains at most three levels deep: a
+  // full publish's root, one tail overlay holding every delta appended
+  // since (DESIGN.md §5j; each delta Clone()s the predecessor's tail
+  // rather than stacking a level), and a session's private overlay over
+  // that (§5i). At most one level of a chain ever holds a given string as
+  // a *built value*, so the reuse lookup is unambiguous.
   explicit FeatureDictionary(const FeatureDictionary* base);
   FeatureDictionary(const FeatureDictionary&) = delete;
   FeatureDictionary& operator=(const FeatureDictionary&) = delete;
   FeatureDictionary(FeatureDictionary&&) noexcept = default;
   FeatureDictionary& operator=(FeatureDictionary&&) noexcept = default;
+
+  // Deep copy with the same base and base offset: the interner copy keeps
+  // every local index, so every public id — and every Features() result —
+  // is the same in the copy, and the copy can go on interning without
+  // touching the original. The serving engine grows a delta generation's
+  // tail this way, keeping every cache slot the predecessor issued valid.
+  FeatureDictionary Clone() const;
+
+  // Whether every id `other` issued resolves to the same string and
+  // features here, so a cache built over `other` may be carried over to
+  // this dictionary: this is `other` itself, a direct overlay over it, or
+  // a Clone() of it that `other` has not outgrown since.
+  bool Extends(const FeatureDictionary& other) const;
 
   // Interns `value` and builds its features on first sight; a repeated
   // value is a single hash lookup (the build-time memo).
@@ -162,6 +176,14 @@ class FeatureDictionary {
   const FeatureDictionary* base_ = nullptr;
   ValueId base_offset_ = 0;  // public id = local index + base_offset_
 
+  // Clone lineage for Extends: a process-unique stamp per constructed
+  // dictionary, and for a clone the source's stamp and size at the copy.
+  std::uint64_t stamp_ = NextStamp();
+  std::uint64_t clone_of_ = 0;  // 0: not a clone
+  std::size_t clone_symbols_ = 0;
+  std::size_t clone_values_ = 0;
+  static std::uint64_t NextStamp();
+
   util::StringInterner strings_;  // values, tokens and bigrams together
   std::vector<Spans> spans_;      // by local index; built only for values
   std::vector<text::TokenId> ordered_tokens_;  // per value, occurrence order
@@ -193,12 +215,12 @@ class FeatureCache {
   // Builds a cache over `base`'s items plus `delta_items` appended after
   // them, without re-featurizing the base: the CSR index and SoA lanes are
   // flat-copied and only the delta items' slots are built, interning their
-  // values through `dict`. `dict` must be an overlay directly over
-  // `base.dict()` (or `&base.dict()` itself, for a root that may still
-  // grow) so every copied id stays resolvable and novel delta values
-  // intern past the base universe — this is the serving engine's delta
-  // publish path (DESIGN.md §5j). Serial over the delta (deltas are small
-  // by design); `metrics` gets the "linking/cache_extend" stage.
+  // values through `dict`. `dict` must extend `base.dict()` id-for-id
+  // (FeatureDictionary::Extends: the same dictionary, a direct overlay, or
+  // an unoutgrown Clone()) so every copied id stays resolvable and novel
+  // delta values never collide with one — this is the serving engine's
+  // delta publish path (DESIGN.md §5j). Serial over the delta (deltas are
+  // small by design); `metrics` gets the "linking/cache_extend" stage.
   static FeatureCache ExtendFrom(const FeatureCache& base,
                                  const std::vector<core::Item>& delta_items,
                                  const ItemMatcher& matcher, Side side,

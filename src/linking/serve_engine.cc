@@ -1,5 +1,6 @@
 #include "linking/serve_engine.h"
 
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -45,11 +46,52 @@ std::unique_ptr<ServeSnapshot> ServeSnapshot::BuildDelta(
     const ServeSnapshot& base, CatalogDelta delta,
     const blocking::CandidateGenerator& blocker, const ServePolicy* policy,
     obs::MetricsRegistry* metrics) {
+  util::Result<std::unique_ptr<ServeSnapshot>> next =
+      MakeDelta(base, std::move(delta), blocker, policy, metrics);
+  if (!next.ok()) return nullptr;
+  return std::move(next).value();
+}
+
+util::Result<std::unique_ptr<ServeSnapshot>> ServeSnapshot::MakeDelta(
+    const ServeSnapshot& base, CatalogDelta delta,
+    const blocking::CandidateGenerator& blocker, const ServePolicy* policy,
+    obs::MetricsRegistry* metrics) {
   const obs::MetricsRegistry::StageScope stage(metrics, "serve/delta_build");
+  // Retirements apply after the appends, so a single delta may retire an
+  // index out of its own appended range (indices are global and stable,
+  // so ordering changes nothing for base-range retirements).
+  const std::size_t num_items = base.num_items_ + delta.appended.size();
+  for (const std::size_t index : delta.retired) {
+    if (index >= num_items) {
+      return util::OutOfRangeError(
+          "retired index " + std::to_string(index) +
+          " out of range (catalog has " + std::to_string(num_items) +
+          " items)");
+    }
+  }
+
+  // The candidate index first: a blocker that cannot extend the base's
+  // index rejects the delta before the O(catalog) feature-cache copy.
+  std::shared_ptr<const blocking::ItemCandidateIndex> candidates =
+      base.index_;
+  if (!delta.appended.empty()) {
+    candidates = blocker.ExtendItemIndex(base.index_, delta.appended);
+    if (candidates == nullptr) {
+      return util::FailedPreconditionError(
+          "blocker '" + blocker.name() +
+          "' cannot extend the base snapshot's candidate index "
+          "(ExtendItemIndex returned null); delta publishes need the same "
+          "generator and key parameters that built the base");
+    }
+  }
+  // Nothing appended: the predecessor's inverted index answers the new
+  // generation verbatim (tombstones are filtered outside the index).
+
   std::unique_ptr<ServeSnapshot> next(new ServeSnapshot(
       base.matcher_, policy != nullptr ? policy->threshold : base.threshold_,
       policy != nullptr ? policy->strategy : base.strategy_,
       policy != nullptr ? policy->rules : base.rules_));
+  next->index_ = std::move(candidates);
 
   // Share the predecessor's item segments wholesale (shared_ptr copies,
   // no item copies) and extend the bookkeeping that rides them.
@@ -59,13 +101,18 @@ std::unique_ptr<ServeSnapshot> ServeSnapshot::BuildDelta(
   next->live_ = base.live_;
   next->num_retired_ = base.num_retired_;
 
-  // Dictionary chain: a fresh overlay level whose base is the
-  // predecessor's (now frozen) dictionary. The link holds the whole
-  // ancestor chain alive independently of the predecessor snapshot's
-  // lifetime.
+  // Dictionary: the full publish's root plus one tail. The first delta
+  // over a full publish starts an empty tail overlay on the root; every
+  // later delta clones the predecessor's tail (same root, same offset,
+  // every id kept) and interns into the clone, so the depth stays two.
   next->dict_link_ = std::make_shared<DictLink>();
-  next->dict_link_->base = base.dict_link_;
-  next->dict_link_->dict = FeatureDictionary(&base.dict_link_->dict);
+  if (base.dict_link_->root == nullptr) {
+    next->dict_link_->root = base.dict_link_;
+    next->dict_link_->dict = FeatureDictionary(&base.dict_link_->dict);
+  } else {
+    next->dict_link_->root = base.dict_link_->root;
+    next->dict_link_->dict = base.dict_link_->dict.Clone();
+  }
 
   const std::vector<core::Item>* appended = nullptr;
   if (!delta.appended.empty()) {
@@ -77,14 +124,7 @@ std::unique_ptr<ServeSnapshot> ServeSnapshot::BuildDelta(
     next->live_.resize(next->num_items_, 1);
     next->segments_.push_back(std::move(segment));
   }
-
-  // Retirements apply after the appends so a single delta may retire an
-  // index out of its own appended range (indices are global and stable,
-  // so ordering changes nothing for base-range retirements).
   for (const std::size_t index : delta.retired) {
-    RL_CHECK(index < next->num_items_)
-        << "retired index " << index << " out of range (catalog has "
-        << next->num_items_ << " items)";
     if (next->live_[index] != 0) {
       next->live_[index] = 0;
       ++next->num_retired_;
@@ -96,19 +136,6 @@ std::unique_ptr<ServeSnapshot> ServeSnapshot::BuildDelta(
       base.local_features_, appended != nullptr ? *appended : empty,
       next->matcher_, FeatureCache::Side::kLocal, &next->dict_link_->dict,
       metrics);
-
-  if (appended == nullptr) {
-    // Nothing appended: the predecessor's inverted index answers the new
-    // generation verbatim (tombstones are filtered outside the index).
-    next->index_ = base.index_;
-  } else {
-    next->index_ = blocker.ExtendItemIndex(base.index_, *appended);
-    RL_CHECK(next->index_ != nullptr)
-        << "blocker '" << blocker.name()
-        << "' cannot extend the base snapshot's candidate index "
-           "(ExtendItemIndex returned null); delta publishes need the same "
-           "generator and key parameters that built the base";
-  }
   return next;
 }
 
@@ -146,7 +173,7 @@ std::uint64_t ServeEngine::Publish(std::unique_ptr<ServeSnapshot> snapshot) {
   return InstallLocked(std::move(snapshot));
 }
 
-std::uint64_t ServeEngine::PublishDelta(
+util::Result<std::uint64_t> ServeEngine::PublishDelta(
     CatalogDelta delta, const blocking::CandidateGenerator& blocker,
     const ServePolicy* policy, obs::MetricsRegistry* metrics) {
   const std::lock_guard<std::mutex> lock(publish_mutex_);
@@ -154,10 +181,14 @@ std::uint64_t ServeEngine::PublishDelta(
   // retires snapshots, publishers serialize on publish_mutex_, and the
   // installed snapshot is never in limbo.
   const ServeSnapshot* base = current_.load(std::memory_order_acquire);
-  RL_CHECK(base != nullptr) << "PublishDelta before the first Publish";
-  return InstallLocked(
-      ServeSnapshot::BuildDelta(*base, std::move(delta), blocker, policy,
-                                metrics));
+  if (base == nullptr) {
+    return util::FailedPreconditionError(
+        "PublishDelta before the first Publish");
+  }
+  util::Result<std::unique_ptr<ServeSnapshot>> next = ServeSnapshot::MakeDelta(
+      *base, std::move(delta), blocker, policy, metrics);
+  if (!next.ok()) return next.status();
+  return InstallLocked(std::move(next).value());
 }
 
 ServeEngine::Session::Session(ServeEngine* engine)

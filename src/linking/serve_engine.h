@@ -3,7 +3,7 @@
 //
 // Every pipeline before this one was batch — build caches, stream
 // candidates, exit. ServeEngine keeps an immutable ServeSnapshot (owned
-// catalog segments + FeatureDictionary chain + FeatureCache +
+// catalog segments + FeatureDictionary root/tail + FeatureCache +
 // ItemCandidateIndex + rule set/matcher + filter cascade) resident behind
 // a single atomic pointer, guarded by epoch-based reclamation
 // (util::EpochDomain):
@@ -23,13 +23,17 @@
 // generation N+1 *from* generation N given a CatalogDelta (appended and/or
 // retired items) and optionally a new serving policy (threshold, strategy,
 // rule set — the hot-swap path). The delta snapshot shares the
-// predecessor's item segments, overlays a fresh dictionary level over the
-// predecessor's frozen one (novel values intern past it, so every existing
-// id — and the score-memo soundness invariant id equality ≡ string
-// equality — is preserved), flat-copies + appends the feature cache, and
-// layers the candidate index instead of re-inverting the catalog.
-// Retirements tombstone items in place: indices stay stable, probes filter
-// tombstones out of each candidate run.
+// predecessor's item segments, flat-copies + appends the feature cache,
+// and extends the candidate index instead of re-inverting the catalog.
+// Every delta generation is exactly two levels deep, in both the
+// dictionary and the index: the root of its full publish, plus one tail
+// holding everything appended since. A delta copies the predecessor's
+// tail and appends to the copy — the copied interners keep every id, so
+// the copied cache slots and postings stay valid, novel values intern past
+// the root's frozen universe, and the score-memo soundness invariant (id
+// equality ≡ string equality) holds — so a query costs the same at delta
+// 100 as at delta 1. Retirements tombstone items in place: indices stay
+// stable, probes filter tombstones out of each candidate run.
 //
 // The per-query path reuses the streaming machinery end to end —
 // ItemCandidateIndex run -> FilterCascade::PruneBatch (SIMD) ->
@@ -62,6 +66,7 @@
 #include "linking/streaming_linker.h"
 #include "obs/metrics.h"
 #include "util/epoch.h"
+#include "util/status.h"
 
 namespace rulelink::linking {
 
@@ -112,16 +117,20 @@ class ServeSnapshot {
 
   // Builds the successor generation from `base` without re-featurizing
   // the predecessor's catalog: shares `base`'s item segments (appending
-  // one for `delta.appended`), tombstones `delta.retired`, chains a new
-  // dictionary overlay over `base`'s frozen dictionary, flat-copies +
-  // appends the feature cache (FeatureCache::ExtendFrom), and extends the
-  // candidate index (CandidateGenerator::ExtendItemIndex) instead of
-  // re-inverting. `blocker` must be the same generator (same key
-  // parameters) that built `base`'s index, and the matcher must not
-  // change across delta publishes — a new policy swaps threshold,
-  // strategy and rule set only (all snapshot-local; caches depend only on
-  // the matcher's properties, which are fixed). `policy` null inherits
-  // `base`'s policy wholesale.
+  // one for `delta.appended`), tombstones `delta.retired`, interns the
+  // delta into a tail dictionary over the full publish's root (a fresh
+  // overlay when `base` is a full publish, else a Clone() of `base`'s
+  // tail), flat-copies + appends the feature cache
+  // (FeatureCache::ExtendFrom), and extends the candidate index
+  // (CandidateGenerator::ExtendItemIndex) instead of re-inverting.
+  // `blocker` must be the same generator (same key parameters) that built
+  // `base`'s index, and the matcher must not change across delta
+  // publishes — a new policy swaps threshold, strategy and rule set only
+  // (all snapshot-local; caches depend only on the matcher's properties,
+  // which are fixed). `policy` null inherits `base`'s policy wholesale.
+  // Returns null when the delta is rejected — a retired index out of range
+  // or a blocker that cannot extend `base`'s index; ServeEngine::
+  // PublishDelta reports the same rejections as a Status.
   static std::unique_ptr<ServeSnapshot> BuildDelta(
       const ServeSnapshot& base, CatalogDelta delta,
       const blocking::CandidateGenerator& blocker,
@@ -173,16 +182,22 @@ class ServeSnapshot {
  private:
   friend class ServeEngine;
 
-  // One level of the dictionary chain. Each delta generation overlays the
-  // predecessor's dictionary; the shared link keeps every ancestor level
-  // alive for as long as any descendant snapshot (or a session overlay
-  // over one) can still resolve ids through it — even after the ancestor
-  // snapshot itself was reclaimed. Heap-allocated so the dictionary's
-  // address is stable for the overlay base pointers.
+  // One level of the dictionary: a full publish's root (root null), or a
+  // delta generation's tail overlaid on that root. The tail's link keeps
+  // the root alive for as long as the tail (or a session overlay over it)
+  // can still resolve ids through it — even after the full-publish
+  // snapshot itself was reclaimed. Heap-allocated so the root's address
+  // is stable for the overlay base pointers.
   struct DictLink {
-    std::shared_ptr<const DictLink> base;
+    std::shared_ptr<const DictLink> root;
     FeatureDictionary dict;
   };
+
+  // BuildDelta with the reason for a rejected delta.
+  static util::Result<std::unique_ptr<ServeSnapshot>> MakeDelta(
+      const ServeSnapshot& base, CatalogDelta delta,
+      const blocking::CandidateGenerator& blocker, const ServePolicy* policy,
+      obs::MetricsRegistry* metrics);
 
   // Shell: policy + matcher + linker only; catalog state is filled by the
   // public constructor or BuildDelta.
@@ -201,7 +216,7 @@ class ServeSnapshot {
   double threshold_;
   Linker::Strategy strategy_;
   std::shared_ptr<const core::RuleSet> rules_;
-  std::shared_ptr<DictLink> dict_link_;  // top of this generation's chain
+  std::shared_ptr<DictLink> dict_link_;  // the root, or the tail over it
   FeatureCache local_features_;
   std::shared_ptr<const blocking::ItemCandidateIndex> index_;
   StreamingLinker linker_;  // borrows matcher_; shares the cascade
@@ -228,9 +243,12 @@ class ServeEngine {
   // Builds the successor of the current generation from `delta` (see
   // ServeSnapshot::BuildDelta) and installs it like Publish — the cheap
   // republish path. `policy` non-null additionally hot-swaps threshold,
-  // strategy and rule set, atomically with the generation stamp. Requires
-  // a prior Publish; thread-safe like Publish.
-  std::uint64_t PublishDelta(CatalogDelta delta,
+  // strategy and rule set, atomically with the generation stamp.
+  // Thread-safe like Publish. Returns the generation assigned, or an error
+  // — before the first Publish, for a retired index out of range, or for
+  // a blocker that cannot extend the current index — in which case
+  // nothing is installed and the current generation keeps serving.
+  util::Result<std::uint64_t> PublishDelta(CatalogDelta delta,
                              const blocking::CandidateGenerator& blocker,
                              const ServePolicy* policy = nullptr,
                              obs::MetricsRegistry* metrics = nullptr);

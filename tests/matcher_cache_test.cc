@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 
 #include "linking/feature_cache.h"
 #include "linking/matcher.h"
+#include "util/interner.h"
 
 namespace rulelink::linking {
 namespace {
@@ -248,6 +250,230 @@ TEST(FeatureCacheTest, SlotsFollowRuleOrderAndMissingPropertiesAreEmpty) {
   const ValueId* mfr = cache.Values(6, 1, &count);
   ASSERT_EQ(count, 1u);
   EXPECT_EQ(dict.View(mfr[0]), "Vishay");
+}
+
+// --- Delta tails (DESIGN.md §5j) -------------------------------------------
+// A serving generation's dictionary is its full publish's root plus one
+// tail overlay; each delta Clone()s the predecessor's tail and interns into
+// the copy. These pin what that relies on: a clone keeps every id and its
+// features, value reuse still finds the single built id across root, tail
+// and a session overlay, and ExtendFrom over a clone matches a from-scratch
+// build while still refusing any dictionary that does not extend the
+// base's id-for-id.
+
+void ExpectSameFeatures(const FeatureDictionary& a, const FeatureDictionary& b,
+                        ValueId id) {
+  const auto fa = a.Features(id);
+  const auto fb = b.Features(id);
+  EXPECT_EQ(fa.text, fb.text);
+  ASSERT_EQ(fa.num_tokens, fb.num_tokens);
+  EXPECT_EQ(fa.num_unique_tokens, fb.num_unique_tokens);
+  ASSERT_EQ(fa.num_bigrams, fb.num_bigrams);
+  for (std::uint32_t i = 0; i < fa.num_tokens; ++i) {
+    EXPECT_EQ(fa.ordered_tokens[i], fb.ordered_tokens[i]);
+    EXPECT_EQ(fa.sorted_tokens[i], fb.sorted_tokens[i]);
+  }
+  for (std::uint32_t i = 0; i < fa.num_bigrams; ++i) {
+    EXPECT_EQ(fa.sorted_bigrams[i], fb.sorted_bigrams[i]);
+  }
+}
+
+TEST(FeatureDictionaryTailTest, CloneKeepsEveryIdAndFeatures) {
+  FeatureDictionary root;
+  const ValueId rooted = root.AddValue("CRCW0805 10K ohm");
+  root.AddValue("T83-106");
+  FeatureDictionary tail(&root);
+  std::vector<ValueId> ids = {
+      tail.AddValue("CRCW0805 10K ohm"),  // reused from the root
+      tail.AddValue("10K"),               // a root token, built here
+      tail.AddValue("X-1 novel"),         // wholly novel
+      tail.AddValue(""),
+  };
+  EXPECT_EQ(ids[0], rooted);
+
+  FeatureDictionary copy = tail.Clone();
+  EXPECT_EQ(copy.base(), &root);
+  EXPECT_EQ(&copy.root(), &root);
+  EXPECT_EQ(copy.num_symbols(), tail.num_symbols());
+  EXPECT_EQ(copy.num_values(), tail.num_values());
+  for (ValueId id = 0; id < tail.num_symbols(); ++id) {
+    EXPECT_EQ(copy.View(id), tail.View(id)) << "id " << id;
+  }
+  for (const ValueId id : ids) {
+    SCOPED_TRACE(id);
+    ExpectSameFeatures(copy, tail, id);
+    EXPECT_EQ(copy.AddValue(tail.View(id)), id);
+  }
+  // The copy interns on its own; the source it was cloned from is
+  // untouched.
+  const std::size_t tail_symbols = tail.num_symbols();
+  const ValueId fresh = copy.AddValue("only in the copy");
+  EXPECT_GE(fresh, tail_symbols);
+  EXPECT_EQ(tail.num_symbols(), tail_symbols);
+  EXPECT_EQ(copy.View(fresh), "only in the copy");
+}
+
+TEST(FeatureDictionaryTailTest, ValueBuiltInAnEarlierTailKeepsItsId) {
+  // "10K" is an unbuilt token at the root. The first delta's tail builds
+  // it as a value; every later tail (a clone of that one, or of a clone of
+  // it) and a session overlay over a later tail must reuse that id, not
+  // mint a second id for the same string off the root's token.
+  FeatureDictionary root;
+  const ValueId rooted = root.AddValue("CRCW0805 10K ohm");
+  FeatureDictionary tail1(&root);
+  const ValueId built = tail1.AddValue("10K");
+  ASSERT_GE(built, root.num_symbols());
+
+  FeatureDictionary tail2 = tail1.Clone();
+  tail2.AddValue("T83-106");  // the second delta's own novel value
+  FeatureDictionary tail3 = tail2.Clone();
+  const std::size_t values = tail3.num_values();
+  EXPECT_EQ(tail3.AddValue("10K"), built);
+  EXPECT_EQ(tail3.num_values(), values);
+
+  FeatureDictionary session(&tail3);
+  EXPECT_EQ(session.AddValue("10K"), built);
+  EXPECT_EQ(session.num_values(), 0u);
+  ExpectSameFeatures(session, tail1, built);
+  // A value built at the root still resolves to the root's id.
+  EXPECT_EQ(session.AddValue("CRCW0805 10K ohm"), rooted);
+}
+
+// The value strings of one cache slot, resolved through the cache's own
+// dictionary (ids differ across universes; strings must not).
+std::vector<std::string_view> SlotStrings(const FeatureCache& cache,
+                                          std::size_t item, std::size_t rule) {
+  std::size_t count = 0;
+  const ValueId* ids = cache.Values(item, rule, &count);
+  std::vector<std::string_view> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(cache.dict().View(ids[i]));
+  }
+  return out;
+}
+
+TEST(FeatureDictionaryTailTest, ExtendFromOverACloneMatchesAFreshBuild) {
+  const ItemMatcher matcher({
+      {"pn", "pn", SimilarityMeasure::kLevenshtein, 2.0},
+      {"pn", "pn", SimilarityMeasure::kExact, 1.0},
+      {"mfr", "mfr", SimilarityMeasure::kJaccardTokens, 1.0},
+  });
+  const auto base_items = LocalItems();
+  const std::vector<core::Item> delta1 = {
+      MakeItem("d0", {{"pn", "10K"}, {"mfr", "Vishay"}}),  // root token
+      MakeItem("d1", {{"pn", "Z-9 new"}}),
+  };
+  const std::vector<core::Item> delta2 = {
+      MakeItem("d2", {{"pn", "10K"}, {"mfr", "acme"}}),  // built in tail 1
+      MakeItem("d3", {{"pn", "a"}, {"pn", "b"}}),        // multi-valued
+      MakeItem("d4", {{"mfr", "Z-9 new"}}),
+  };
+
+  FeatureDictionary root;
+  const auto cache0 = FeatureCache::Build(
+      base_items, matcher, FeatureCache::Side::kLocal, &root, 1);
+  FeatureDictionary tail1(&root);
+  const auto cache1 = FeatureCache::ExtendFrom(
+      cache0, delta1, matcher, FeatureCache::Side::kLocal, &tail1);
+  FeatureDictionary tail2 = tail1.Clone();
+  const auto cache2 = FeatureCache::ExtendFrom(
+      cache1, delta2, matcher, FeatureCache::Side::kLocal, &tail2);
+
+  std::vector<core::Item> all = base_items;
+  all.insert(all.end(), delta1.begin(), delta1.end());
+  all.insert(all.end(), delta2.begin(), delta2.end());
+  FeatureDictionary fresh_dict;
+  const auto fresh = FeatureCache::Build(
+      all, matcher, FeatureCache::Side::kLocal, &fresh_dict, 1);
+
+  ASSERT_EQ(cache2.num_items(), fresh.num_items());
+  for (std::size_t item = 0; item < all.size(); ++item) {
+    SCOPED_TRACE(all[item].iri);
+    EXPECT_EQ(cache2.simple(item), fresh.simple(item));
+    for (std::size_t r = 0; r < matcher.rules().size(); ++r) {
+      EXPECT_EQ(SlotStrings(cache2, item, r), SlotStrings(fresh, item, r));
+      const std::size_t slot = item * matcher.rules().size() + r;
+      EXPECT_EQ(cache2.lane_byte_lengths()[slot],
+                fresh.lane_byte_lengths()[slot]);
+      EXPECT_EQ(cache2.lane_unique_tokens()[slot],
+                fresh.lane_unique_tokens()[slot]);
+      EXPECT_EQ(cache2.lane_bigrams()[slot], fresh.lane_bigrams()[slot]);
+      const ValueId a = cache2.lane_value_ids()[slot];
+      const ValueId b = fresh.lane_value_ids()[slot];
+      ASSERT_EQ(a == util::kInvalidSymbolId, b == util::kInvalidSymbolId);
+      if (a != util::kInvalidSymbolId) {
+        EXPECT_EQ(tail2.View(a), fresh_dict.View(b));
+      }
+    }
+  }
+
+  // Scored through a session-style overlay over the cloned tail, every
+  // pair matches the string path.
+  const auto external = ExternalItems();
+  FeatureDictionary session(&tail2);
+  const auto external_cache = FeatureCache::Build(
+      external, matcher, FeatureCache::Side::kExternal, &session, 1);
+  for (std::size_t e = 0; e < external.size(); ++e) {
+    for (std::size_t l = 0; l < all.size(); ++l) {
+      EXPECT_EQ(matcher.ScoreCached(external_cache, e, cache2, l),
+                matcher.Score(external[e], all[l]))
+          << external[e].iri << " vs " << all[l].iri;
+    }
+  }
+}
+
+TEST(FeatureDictionaryTailTest, ExtendsAcceptsOnlyIdForIdExtensions) {
+  FeatureDictionary root;
+  root.AddValue("CRCW0805 10K ohm");
+  FeatureDictionary tail(&root);
+  tail.AddValue("X-1");
+  FeatureDictionary overlay(&tail);
+  FeatureDictionary sibling(&root);
+  FeatureDictionary unrelated;
+  FeatureDictionary clone = tail.Clone();
+  FeatureDictionary clone_of_clone = clone.Clone();
+
+  EXPECT_TRUE(tail.Extends(tail));
+  EXPECT_TRUE(overlay.Extends(tail));
+  EXPECT_TRUE(clone.Extends(tail));
+  EXPECT_TRUE(clone_of_clone.Extends(clone));
+  EXPECT_FALSE(sibling.Extends(tail));    // same root, other ids past it
+  EXPECT_FALSE(unrelated.Extends(tail));
+  EXPECT_FALSE(tail.Extends(clone));      // the source is no clone of it
+  EXPECT_FALSE(clone_of_clone.Extends(tail));
+
+  // Growth of the source after the copy — a new symbol, or a token built
+  // into a value in place — voids the clone's claim.
+  FeatureDictionary grown = tail.Clone();
+  tail.AddValue("Y-2");
+  EXPECT_FALSE(grown.Extends(tail));
+  FeatureDictionary rebuilt_source(&root);
+  rebuilt_source.AddValue("Z 3");
+  FeatureDictionary stale = rebuilt_source.Clone();
+  rebuilt_source.AddValue("Z");  // a local token, now built: no new symbol
+  EXPECT_FALSE(stale.Extends(rebuilt_source));
+}
+
+TEST(FeatureDictionaryTailDeathTest, ExtendFromRefusesAnUnrelatedDictionary) {
+  const ItemMatcher matcher({{"pn", "pn", SimilarityMeasure::kExact, 1.0}});
+  const auto items = LocalItems();
+  FeatureDictionary root;
+  const auto cache = FeatureCache::Build(
+      items, matcher, FeatureCache::Side::kLocal, &root, 1);
+  FeatureDictionary tail(&root);
+  const auto extended = FeatureCache::ExtendFrom(
+      cache, items, matcher, FeatureCache::Side::kLocal, &tail);
+  FeatureDictionary unrelated;
+  EXPECT_DEATH(FeatureCache::ExtendFrom(cache, items, matcher,
+                                        FeatureCache::Side::kLocal,
+                                        &unrelated),
+               "ExtendFrom needs");
+  // A sibling tail over the same root would reissue the tail's ids for
+  // other strings.
+  FeatureDictionary sibling(&root);
+  EXPECT_DEATH(FeatureCache::ExtendFrom(extended, items, matcher,
+                                        FeatureCache::Side::kLocal, &sibling),
+               "ExtendFrom needs");
 }
 
 }  // namespace

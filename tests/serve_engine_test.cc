@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "linking/serve_engine.h"
 #include "linking/streaming_linker.h"
 #include "util/logging.h"
+#include "util/status.h"
 
 // Global operator-new replacement counting every heap allocation in the
 // process. The steady-state test reads the counter around a window where
@@ -226,6 +228,18 @@ std::vector<linking::Link> RemapLocals(std::vector<linking::Link> links,
   return links;
 }
 
+// PublishDelta that must succeed: the generation installed, or 0 (and a
+// test failure naming the rejection).
+std::uint64_t PublishDeltaOk(linking::ServeEngine* engine,
+                             linking::CatalogDelta delta,
+                             const blocking::CandidateGenerator& blocker,
+                             const linking::ServePolicy* policy = nullptr) {
+  const util::Result<std::uint64_t> generation =
+      engine->PublishDelta(std::move(delta), blocker, policy);
+  EXPECT_TRUE(generation.ok()) << generation.status();
+  return generation.value_or(0);
+}
+
 TEST(ServeEngineTest, ServedAnswersMatchBatchRun) {
   for (const std::uint64_t seed : {42u, 1337u}) {
     const Workload w = MakeWorkload(seed, 3000, 600);
@@ -379,12 +393,12 @@ TEST(ServeEngineTest, DeltaPublishesMatchFromScratchSnapshot) {
       linking::CatalogDelta d1;
       d1.appended.assign(w.catalog.begin() + kN0, w.catalog.begin() + kN1);
       d1.retired = {3, 100, 771};
-      EXPECT_EQ(engine.PublishDelta(std::move(d1), blocker), 2u);
+      EXPECT_EQ(PublishDeltaOk(&engine, std::move(d1), blocker), 2u);
 
       linking::CatalogDelta d2;  // 2500 retires out of delta 1's appends
       d2.appended.assign(w.catalog.begin() + kN1, w.catalog.end());
       d2.retired = {5, 2500};
-      EXPECT_EQ(engine.PublishDelta(std::move(d2), blocker), 3u);
+      EXPECT_EQ(PublishDeltaOk(&engine, std::move(d2), blocker), 3u);
 
       // Pure hot-swap: no appends, one retirement, new threshold and an
       // attached rule set — all riding one generation stamp.
@@ -395,7 +409,7 @@ TEST(ServeEngineTest, DeltaPublishesMatchFromScratchSnapshot) {
       policy.rules = rules;
       linking::CatalogDelta d3;
       d3.retired = {2950};
-      EXPECT_EQ(engine.PublishDelta(std::move(d3), blocker, &policy), 4u);
+      EXPECT_EQ(PublishDeltaOk(&engine, std::move(d3), blocker, &policy), 4u);
       EXPECT_EQ(engine.current_rules().get(), rules.get());
 
       const CompactedCatalog compacted = Compact(w.catalog, kRetired);
@@ -458,10 +472,10 @@ TEST(ServeEngineTest, CartesianDeltaChainMatchesFromScratch) {
   linking::CatalogDelta d1;
   d1.appended.assign(w.catalog.begin() + 200, w.catalog.end());
   d1.retired = {10, 199};
-  EXPECT_EQ(engine.PublishDelta(std::move(d1), blocker), 2u);
+  EXPECT_EQ(PublishDeltaOk(&engine, std::move(d1), blocker), 2u);
   linking::CatalogDelta d2;
   d2.retired = {40, 250};
-  EXPECT_EQ(engine.PublishDelta(std::move(d2), blocker), 3u);
+  EXPECT_EQ(PublishDeltaOk(&engine, std::move(d2), blocker), 3u);
 
   const CompactedCatalog compacted = Compact(w.catalog, {10, 199, 40, 250});
   const auto expected = BatchReference(compacted.items, w.queries, strategy,
@@ -473,6 +487,208 @@ TEST(ServeEngineTest, CartesianDeltaChainMatchesFromScratch) {
     EXPECT_TRUE(SameLinks(RemapLocals(answer, compacted.remap), expected[q]))
         << "query " << q;
   }
+}
+
+// Answers and summed FilterStats of serving `queries` through `clients`
+// concurrent sessions; every answer must come from `generation`.
+struct ServedRun {
+  std::vector<std::vector<linking::Link>> answers;
+  linking::FilterStats filters;
+};
+
+ServedRun ServeAll(linking::ServeEngine* engine,
+                   const std::vector<core::Item>& queries,
+                   std::size_t clients, std::uint64_t generation) {
+  ServedRun run;
+  run.answers.resize(queries.size());
+  std::vector<linking::FilterStats> per_client(clients);
+  std::atomic<std::size_t> ticket{0};
+  auto client = [&](std::size_t c) {
+    linking::ServeEngine::Session session(engine);
+    std::size_t q;
+    while ((q = ticket.fetch_add(1, std::memory_order_relaxed)) <
+           queries.size()) {
+      EXPECT_EQ(session.Query(queries[q], &run.answers[q], q), generation);
+    }
+    per_client[c] = session.filter_stats();
+  };
+  if (clients == 1) {
+    client(0);
+  } else {
+    std::vector<std::thread> workers;
+    for (std::size_t c = 0; c < clients; ++c) workers.emplace_back(client, c);
+    for (std::thread& worker : workers) worker.join();
+  }
+  for (const linking::FilterStats& stats : per_client) run.filters.Add(stats);
+  return run;
+}
+
+// Deep-chain differential: 64 delta generations on one full publish —
+// appends of varying size, pure-retirement deltas, retirements of base
+// items, of an earlier delta's items and of the delta's own appends (plus
+// repeats), and a policy hot-swap at delta 32 — must answer every query,
+// with the same FilterStats, exactly like a from-scratch snapshot of the
+// compacted final catalog. Every delta generation stays two levels deep:
+// its dictionary is a tail directly over the full publish's root.
+TEST(ServeEngineTest, SixtyFourDeltaChainMatchesFromScratch) {
+  constexpr std::size_t kDeltas = 64;
+  constexpr std::size_t kPolicySwapAt = 32;
+  const double final_threshold = kThreshold + 0.1;
+  const auto strategy = linking::Linker::Strategy::kBestPerExternal;
+  const blocking::StandardBlocker standard(datagen::props::kPartNumber, 4);
+  const blocking::CartesianBlocker cartesian;
+  for (const blocking::CandidateGenerator* blocker :
+       {static_cast<const blocking::CandidateGenerator*>(&standard),
+        static_cast<const blocking::CandidateGenerator*>(&cartesian)}) {
+    // Cartesian runs hold every live local, so it gets a smaller catalog.
+    const bool small = blocker == &cartesian;
+    const std::size_t base_size = small ? 150 : 1500;
+    const std::size_t per_delta = small ? 3 : 12;
+    for (const std::uint64_t seed : {42u, 1337u}) {
+      SCOPED_TRACE(blocker->name() + " seed " + std::to_string(seed));
+      const Workload w = MakeWorkload(seed, base_size + kDeltas * per_delta,
+                                      small ? 80 : 300);
+      linking::ServeEngine engine;
+      auto full = std::make_unique<linking::ServeSnapshot>(
+          std::vector<core::Item>(w.catalog.begin(),
+                                  w.catalog.begin() + base_size),
+          linking::ItemMatcher{ServeRules()}, kThreshold, strategy, *blocker);
+      const linking::ServeSnapshot* current = full.get();
+      engine.Publish(std::move(full));
+
+      std::size_t cursor = base_size;  // next catalog item to append
+      std::vector<std::size_t> retired;
+      const auto rules = std::make_shared<const core::RuleSet>();
+      for (std::size_t d = 0; d < kDeltas; ++d) {
+        linking::CatalogDelta delta;
+        const std::size_t begin = cursor;
+        if (d % 8 != 7) {  // every eighth delta only retires
+          const std::size_t count = 1 + (d * 5 + seed) % per_delta;
+          delta.appended.assign(w.catalog.begin() + begin,
+                                w.catalog.begin() + begin + count);
+          cursor += count;
+        }
+        delta.retired.push_back((d * 37 + seed) % base_size);
+        if (d % 3 == 0 && cursor > begin) {
+          delta.retired.push_back(begin + d % (cursor - begin));
+        }
+        if (d % 5 == 4 && begin > base_size) {
+          delta.retired.push_back(base_size + (d * 7) % (begin - base_size));
+        }
+        retired.insert(retired.end(), delta.retired.begin(),
+                       delta.retired.end());
+        linking::ServePolicy policy;
+        policy.threshold = final_threshold;
+        policy.strategy = strategy;
+        policy.rules = rules;
+        auto next = linking::ServeSnapshot::BuildDelta(
+            *current, std::move(delta), *blocker,
+            d == kPolicySwapAt ? &policy : nullptr);
+        ASSERT_NE(next, nullptr) << "delta " << d;
+        EXPECT_EQ(next->dict().base(), &next->dict().root()) << "delta " << d;
+        EXPECT_EQ(next->num_items(), cursor);
+        current = next.get();
+        engine.Publish(std::move(next));
+      }
+      EXPECT_EQ(engine.current_generation(), kDeltas + 1);
+      EXPECT_EQ(current->threshold(), final_threshold);
+      EXPECT_EQ(engine.current_rules().get(), rules.get());
+
+      const std::vector<core::Item> appended_catalog(
+          w.catalog.begin(), w.catalog.begin() + cursor);
+      const CompactedCatalog compacted = Compact(appended_catalog, retired);
+      EXPECT_EQ(current->num_items() - current->num_retired(),
+                compacted.items.size());
+      linking::ServeEngine scratch_engine;
+      scratch_engine.Publish(std::make_unique<linking::ServeSnapshot>(
+          compacted.items, linking::ItemMatcher{ServeRules()},
+          final_threshold, strategy, *blocker));
+      for (const std::size_t clients :
+           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        SCOPED_TRACE(clients);
+        const ServedRun expected =
+            ServeAll(&scratch_engine, w.queries, clients, 1);
+        const ServedRun served =
+            ServeAll(&engine, w.queries, clients, kDeltas + 1);
+        std::size_t mismatches = 0;
+        for (std::size_t q = 0; q < w.queries.size(); ++q) {
+          if (!SameLinks(RemapLocals(served.answers[q], compacted.remap),
+                         expected.answers[q])) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_EQ(served.filters.pairs_pruned, expected.filters.pairs_pruned);
+        EXPECT_EQ(served.filters.by_length, expected.filters.by_length);
+        EXPECT_EQ(served.filters.by_token_count,
+                  expected.filters.by_token_count);
+        EXPECT_EQ(served.filters.by_exact, expected.filters.by_exact);
+        EXPECT_EQ(served.filters.by_distance_cap,
+                  expected.filters.by_distance_cap);
+      }
+    }
+  }
+}
+
+// A delta that cannot be applied is refused with a Status — an
+// out-of-range retirement, or a blocker that cannot extend the current
+// index (other key parameters, or another generator) — and nothing is
+// installed: the generation stays, and it keeps answering exactly as
+// before.
+TEST(ServeEngineTest, RejectedDeltaLeavesTheGenerationServing) {
+  const blocking::StandardBlocker blocker(datagen::props::kPartNumber, 4);
+  const Workload w = MakeWorkload(42, 1200, 150);
+  const auto strategy = linking::Linker::Strategy::kBestPerExternal;
+  linking::ServeEngine engine;
+  {
+    const util::Result<std::uint64_t> early =
+        engine.PublishDelta({}, blocker);
+    ASSERT_FALSE(early.ok());
+    EXPECT_EQ(early.status().code(), util::StatusCode::kFailedPrecondition);
+  }
+  engine.Publish(std::make_unique<linking::ServeSnapshot>(
+      std::vector<core::Item>(w.catalog.begin(), w.catalog.begin() + 1000),
+      linking::ItemMatcher{ServeRules()}, kThreshold, strategy, blocker));
+  linking::CatalogDelta first;
+  first.appended.assign(w.catalog.begin() + 1000, w.catalog.begin() + 1100);
+  first.retired = {4};
+  EXPECT_EQ(PublishDeltaOk(&engine, std::move(first), blocker), 2u);
+  const ServedRun before = ServeAll(&engine, w.queries, 1, 2);
+
+  const auto delta_with = [&](std::vector<std::size_t> retired) {
+    linking::CatalogDelta delta;
+    delta.appended.assign(w.catalog.begin() + 1100, w.catalog.end());
+    delta.retired = std::move(retired);
+    return delta;
+  };
+  const auto expect_rejected = [&](linking::CatalogDelta delta,
+                                   const blocking::CandidateGenerator& with,
+                                   util::StatusCode code) {
+    const util::Result<std::uint64_t> result =
+        engine.PublishDelta(std::move(delta), with);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), code) << result.status();
+    EXPECT_EQ(engine.current_generation(), 2u);
+    EXPECT_EQ(engine.epoch_stats().retired, 1u);
+    const ServedRun after = ServeAll(&engine, w.queries, 1, 2);
+    for (std::size_t q = 0; q < w.queries.size(); ++q) {
+      EXPECT_TRUE(SameLinks(after.answers[q], before.answers[q]))
+          << "query " << q;
+    }
+  };
+  // The delta would hold 1200 items: index 1200 is one past its end, even
+  // though the delta's own appends cover 1100..1199.
+  expect_rejected(delta_with({7, 1200}), blocker,
+                  util::StatusCode::kOutOfRange);
+  const blocking::StandardBlocker other_prefix(datagen::props::kPartNumber, 5);
+  expect_rejected(delta_with({}), other_prefix,
+                  util::StatusCode::kFailedPrecondition);
+  const blocking::CartesianBlocker cartesian;
+  expect_rejected(delta_with({}), cartesian,
+                  util::StatusCode::kFailedPrecondition);
+
+  // The same delta with a sound retirement goes through on top.
+  EXPECT_EQ(PublishDeltaOk(&engine, delta_with({7, 1199}), blocker), 3u);
 }
 
 // Satellite: one session across delta publishes. The overlay dictionary
@@ -518,7 +734,7 @@ TEST(ServeEngineTest, SessionOverlayAndCountersAcrossDeltaPublishes) {
   linking::CatalogDelta delta;
   delta.appended.assign(w.catalog.begin() + 1500, w.catalog.end());
   delta.retired = {7, 1600};
-  EXPECT_EQ(engine.PublishDelta(std::move(delta), blocker), 2u);
+  EXPECT_EQ(PublishDeltaOk(&engine, std::move(delta), blocker), 2u);
 
   const CompactedCatalog compacted = Compact(w.catalog, {7, 1600});
   const auto expected2 = BatchReference(compacted.items, w.queries, strategy);

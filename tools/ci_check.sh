@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Builds and runs the test suite under AddressSanitizer and ThreadSanitizer,
-# the configurations that lock down the parallel execution layer. Each
-# sanitizer gets its own build tree (build-asan/, build-tsan/) so the plain
-# build/ is never polluted with instrumented objects.
+# Builds and runs the test suite under AddressSanitizer, ThreadSanitizer and
+# UndefinedBehaviorSanitizer, the configurations that lock down the
+# parallel execution layer and the serving engine's pointer-heavy paths.
+# Each sanitizer gets its own build tree (build-asan/, build-tsan/,
+# build-usan/) so the plain build/ is never polluted with instrumented
+# objects.
 #
 # Usage:
-#   tools/ci_check.sh               # both sanitizers, full test suite
+#   tools/ci_check.sh               # all three sanitizers, full test suite
 #   tools/ci_check.sh address       # ASan only
 #   tools/ci_check.sh thread        # TSan only
+#   tools/ci_check.sh undefined     # UBSan only
 #
 # Environment:
 #   CI_CHECK_TEST_FILTER  optional ctest -R regex (default: all tests)
@@ -18,7 +21,7 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${CI_CHECK_JOBS:-$(nproc)}"
 FILTER="${CI_CHECK_TEST_FILTER:-}"
 
-SANITIZERS=("address" "thread")
+SANITIZERS=("address" "thread" "undefined")
 if [[ $# -ge 1 ]]; then
   SANITIZERS=("$@")
 fi
@@ -50,6 +53,10 @@ run_config() {
     # Fail the run on any reported race, and keep going so one race does
     # not mask the rest of the suite.
     TSAN_OPTIONS="halt_on_error=0 exitcode=66" ctest "${ctest_args[@]}"
+  elif [[ "${sanitizer}" == "undefined" ]]; then
+    # UBSan only reports and carries on by default; make the first report
+    # fail its test.
+    UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" ctest "${ctest_args[@]}"
   else
     ASAN_OPTIONS="detect_leaks=1" ctest "${ctest_args[@]}"
   fi

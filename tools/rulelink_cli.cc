@@ -481,9 +481,13 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
     linking::CatalogDelta delta;
     delta.appended = ItemsFromGraph(delta_graph);
     for (const auto& item : delta.appended) local_iris.push_back(item.iri);
-    const std::uint64_t generation =
+    const auto generation =
         engine.PublishDelta(std::move(delta), blocker, nullptr, metrics);
-    std::cerr << "delta " << path << ": generation " << generation << ", "
+    if (!generation.ok()) {
+      std::cerr << "delta " << path << ": " << generation.status() << "\n";
+      return 1;
+    }
+    std::cerr << "delta " << path << ": generation " << *generation << ", "
               << local_iris.size() << " items resident\n";
   }
 
@@ -557,9 +561,13 @@ int RunServe(const Args& args, rulelink::obs::MetricsRegistry* metrics) {
     policy.strategy = strategy;
     policy.rules = std::make_shared<const rulelink::core::RuleSet>(
         std::move(*learned));
-    const std::uint64_t generation =
+    const auto generation =
         engine.PublishDelta({}, blocker, &policy, metrics);
-    std::cerr << "rule hot-swap: generation " << generation << " carries "
+    if (!generation.ok()) {
+      std::cerr << "rule hot-swap: " << generation.status() << "\n";
+      return 1;
+    }
+    std::cerr << "rule hot-swap: generation " << *generation << " carries "
               << policy.rules->size() << " classification rules\n";
   }
 
